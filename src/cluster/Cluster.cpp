@@ -148,7 +148,7 @@ ClusterScheduler::run(std::vector<gma::ShredDescriptor> Descs,
   while (remaining() > 0 && !Preempted) {
     // The earliest-ready non-retired lane acts next; ties break toward
     // the lower lane index. Serial and simulated-time-only, so the
-    // schedule is independent of SimThreads.
+    // schedule is independent of host timing.
     Lane *Next = nullptr;
     for (Lane &L : Lanes) {
       if (L.Retired)
@@ -249,16 +249,18 @@ ClusterScheduler::run(std::vector<gma::ShredDescriptor> Descs,
       O.Params = D.Params;
       O.Surfaces = D.Surfaces;
       O.RecordVa = D.RecordVa;
-      uint64_t InsnBefore = Platform.proxy().stats().OrphanInstructions;
+      const exo::ProxyStats Before = Platform.proxy().stats();
       Expected<mem::TimeNs> Lat = Platform.proxy().onShredOrphaned(O);
       if (!Lat)
         return Lat.takeError();
+      const exo::ProxyStats &After = Platform.proxy().stats();
       L.ReadyNs += *Lat;
       ++L.Lo;
       ++L.Stats.Shreds;
       ++Res.Total.ShredsExecuted;
       Res.Total.Instructions +=
-          Platform.proxy().stats().OrphanInstructions - InsnBefore;
+          After.OrphanInstructions - Before.OrphanInstructions;
+      Res.Total.MemoryOps += After.OrphanMemoryOps - Before.OrphanMemoryOps;
       Res.Total.FinishNs = std::max(Res.Total.FinishNs, L.ReadyNs);
       L.Stats.FinishNs = L.ReadyNs;
       continue;

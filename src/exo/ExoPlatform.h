@@ -75,14 +75,6 @@ public:
   ExoProxyHandler &proxy() { return Proxy; }
   const PlatformConfig &config() const { return Config; }
 
-  /// Host worker threads used to simulate the device for subsequent runs
-  /// (0 = one per hardware core, 1 = serial). Purely a wall-clock knob:
-  /// simulation results are bit-identical for every value.
-  void setSimThreads(unsigned N) {
-    for (auto &D : Devices)
-      D->setSimThreads(N);
-  }
-
   /// Installs a FaultLab injector at every probe site across the stack
   /// (device refill/resolve phases + proxy ATR/CEH paths). Pass nullptr
   /// to disarm. The injector must outlive the runs it is armed for.

@@ -25,7 +25,7 @@ ExoProxyHandler::onTranslationMiss(mem::VirtAddr Va, bool IsWrite,
 
   if (Inj) {
     // FaultLab probes, keyed by faulting page so a given access faults
-    // identically at every SimThreads value. Transient faults are retried
+    // identically on every replay. Transient faults are retried
     // with exponential backoff on the signal latency; only a fault that
     // persists past the retry budget (or an injected hard failure)
     // reaches the device as an error.
@@ -426,6 +426,7 @@ ExoProxyHandler::onShredOrphaned(const gma::OrphanShred &O) {
 
   HostRegView Regs;
   if (O.RecordVa != 0 && !O.Params.empty()) {
+    ++Stats.OrphanMemoryOps;
     std::vector<uint8_t> Buf(O.Params.size() * 4);
     if (Error E = hostCopy(O.RecordVa, Buf.data(), Buf.size(),
                            /*IsWrite=*/false))
@@ -652,6 +653,7 @@ ExoProxyHandler::onShredOrphaned(const gma::OrphanShred &O) {
       mem::VirtAddr Va = S.Base + static_cast<uint64_t>(FirstElem) * Esz;
       uint64_t Span = static_cast<uint64_t>(I.Width) * Esz;
       std::vector<uint8_t> Buf(Span);
+      ++Stats.OrphanMemoryOps;
 
       if (IsWrite) {
         bool AnyMasked = false;
@@ -746,6 +748,7 @@ ExoProxyHandler::onShredOrphaned(const gma::OrphanShred &O) {
             S.Base + (static_cast<uint64_t>(Y) * S.Width + X0) * 4;
         uint64_t Span = X1 > X0 ? 8 : 4;
         uint8_t Tmp[8] = {};
+        ++Stats.OrphanMemoryOps;
         if (Error E = hostCopy(Va, Tmp, Span, /*IsWrite=*/false))
           return E;
         std::memcpy(&Texels[Row * 2 + 0], Tmp, 4);

@@ -80,6 +80,10 @@ struct ProxyStats {
   uint64_t DoubleFaults = 0;        ///< second walk missed after fault service
   uint64_t OrphansEmulated = 0;     ///< orphan shreds run on the host lane
   uint64_t OrphanInstructions = 0;  ///< instructions interpreted on that lane
+  /// Memory operations on that lane, counted by the device's rule: one
+  /// per descriptor-record fetch, one per executed ld/st/ldblk/stblk, two
+  /// per sample (one per texel row).
+  uint64_t OrphanMemoryOps = 0;
 };
 
 /// The IA32-side proxy handler installed into the GMA device.

@@ -134,16 +134,10 @@ struct GmaConfig {
   /// commands and loading a thread context (paper Section 3.4).
   TimeNs ShredDispatchNs = 60.0;
 
-  /// Host worker threads used to simulate the device (0 = one per
-  /// hardware core, capped at NumEus; 1 = serial in-line execution).
-  /// Every setting produces bit-identical results: the epoch-based
-  /// engine resolves all shared-resource interactions in a fixed order
-  /// at simulation barriers (see DESIGN.md, "Parallel simulation").
-  unsigned SimThreads = 0;
   /// Epoch length: each simulation round advances every EU to
   /// (earliest pending event + SimHorizonNs) before the shared-resource
-  /// barrier. Part of the deterministic schedule, so changing it changes
-  /// arbitration outcomes (identically for every SimThreads value).
+  /// resolve. Part of the deterministic schedule, so changing it changes
+  /// arbitration outcomes (see DESIGN.md, "Epoch schedule").
   TimeNs SimHorizonNs = 400.0;
 
   /// A shred blocked in `wait` longer than this (simulated time) fails
@@ -273,13 +267,13 @@ struct GmaRunStats {
   /// deadline budget and exited with RunExit::DeadlinePreempted.
   uint64_t ShredsPreempted = 0;
   /// EU indices offlined by hard-fails this run, in offline order (a
-  /// serial-phase event, so the order is part of the deterministic
+  /// resolve-phase event, so the order is part of the deterministic
   /// schedule). The ExoServe circuit breaker consumes this as its
   /// per-EU failure signal.
   std::vector<unsigned> OfflinedEus;
 
-  /// Field-wise equality: the parallel-simulation determinism contract
-  /// promises bit-identical stats for every GmaConfig::SimThreads value.
+  /// Field-wise equality: the determinism contract promises bit-identical
+  /// stats for every replay of the same run.
   bool operator==(const GmaRunStats &) const = default;
 
   TimeNs elapsedNs() const { return FinishNs - StartNs; }

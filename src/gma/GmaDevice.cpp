@@ -6,31 +6,26 @@
 //
 // Epoch-based simulation engine. Every run proceeds in rounds:
 //
-//   1. refill    (serial)   — dispatch queued shreds into idle contexts,
-//                             in EU-index order.
-//   2. advance   (parallel) — each worker thread advances its partition
-//                             of EUs up to a shared simulated-time
-//                             horizon. Instructions with only EU-local
-//                             effects (ALU, branches, predication)
-//                             execute immediately; every interaction with
-//                             a shared resource (memory/cache/TLB/bus,
-//                             the sampler, xmit/wait, spawn, proxy ATR
-//                             and CEH calls, retirement) is buffered as a
-//                             PendingOp. Ops whose result the context
-//                             needs block it until the barrier.
-//   3. resolve   (serial)   — all buffered ops are drained in
-//                             (issue time, EU index, sequence) order.
-//                             Arbitration for the bus, cache, TLB,
-//                             sampler queue and work queue happens here,
-//                             so its outcome depends only on the issue
-//                             schedule — never on the worker count.
+//   1. refill   — dispatch queued shreds into idle contexts, in EU-index
+//                 order.
+//   2. advance  — each EU, in index order, advances up to a shared
+//                 simulated-time horizon. Instructions with only EU-local
+//                 effects (ALU, branches, predication) execute
+//                 immediately; every interaction with a shared resource
+//                 (memory/cache/TLB/bus, the sampler, xmit/wait, spawn,
+//                 proxy ATR and CEH calls, retirement) is buffered as a
+//                 PendingOp. Ops whose result the context needs block it
+//                 until the end of the round.
+//   3. resolve  — all buffered ops are drained in (issue time, EU index,
+//                 sequence) order. Arbitration for the bus, cache, TLB,
+//                 sampler queue and work queue happens here, so its
+//                 outcome depends only on the issue schedule.
 //
-// The per-EU advance is itself deterministic (a context's instruction
-// stream depends only on state established at round barriers), so the
-// whole simulation is bit-identical for every SimThreads value; the
-// serial path simply runs step 2 in-line. Step hooks force the serial
-// path, and a hook-requested pause resolves all buffered ops before
-// returning so debuggers observe a consistent machine.
+// A context's instruction stream within a round depends only on state
+// established at the previous round boundary, so the order in which EUs
+// advance never matters; the resolve order alone defines the timing.
+// A hook-requested pause resolves all buffered ops before returning so
+// debuggers observe a consistent machine.
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +38,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <thread>
+#include <utility>
 
 using namespace exochi;
 using namespace exochi::gma;
@@ -125,7 +120,7 @@ struct GmaDevice::Context : public ShredRegView {
   enum class State : uint8_t {
     Idle,    ///< no shred loaded
     Running, ///< executing (possibly stalled until StallUntil)
-    Blocked, ///< issued a shared-resource op; parked until the barrier
+    Blocked, ///< issued a shared-resource op; parked until the resolve
     Waiting, ///< blocked in `wait` on a register ready flag
   };
 
@@ -215,7 +210,7 @@ struct GmaDevice::Context : public ShredRegView {
   }
 };
 
-/// A buffered shared-resource interaction, applied at the round barrier.
+/// A buffered shared-resource interaction, applied in the resolve phase.
 struct GmaDevice::PendingOp {
   enum class Kind : uint8_t {
     Memory,    ///< Ld/St/LdBlk/StBlk (blocking)
@@ -244,9 +239,8 @@ struct GmaDevice::PendingOp {
   std::shared_ptr<const SurfaceTable> SpawnSurfaces;
 };
 
-/// One execution unit with its four thread contexts. Everything here —
-/// including the pending-op buffer and the statistic shards — is owned
-/// exclusively by one worker thread during the advance phase.
+/// One execution unit with its four thread contexts and the shared-resource
+/// ops it buffered this round.
 struct GmaDevice::Eu {
   Eu(unsigned Index, unsigned NumThreads)
       : Index(Index), Contexts(NumThreads) {
@@ -265,13 +259,6 @@ struct GmaDevice::Eu {
 
   std::vector<PendingOp> Pending;
   uint64_t NextSeq = 0;
-
-  // Statistic shards, merged into GmaRunStats in EU-index order at every
-  // run exit so double-precision accumulation order is fixed.
-  uint64_t ShardInstructions = 0;
-  double ShardIssueCycles = 0;
-  TimeNs ShardFinishNs = 0;
-  std::string ShardError; ///< first advance-phase error (empty = none)
 };
 
 //===----------------------------------------------------------------------===//
@@ -346,11 +333,9 @@ uint32_t GmaDevice::enqueueShred(ShredDescriptor Desc) {
 void GmaDevice::resetStats(bool RewindFaults) {
   Stats = GmaRunStats();
   SamplerFreeAt = 0;
+  AdvanceFinishNs = 0;
   for (auto &E : Eus) {
     E->Time = 0;
-    E->ShardInstructions = 0;
-    E->ShardIssueCycles = 0;
-    E->ShardFinishNs = 0;
     E->Offline = false; // a fresh run starts with a healed device
     // E->Quarantined survives: the circuit breaker, not the device,
     // decides when a misbehaving EU rejoins the rotation.
@@ -385,18 +370,6 @@ bool GmaDevice::euQuarantined(unsigned EuIdx) const {
 }
 
 void GmaDevice::invalidateTlbs() { DeviceTlb.invalidateAll(); }
-
-unsigned GmaDevice::effectiveSimThreads() const {
-  if (Hook_)
-    return 1; // hooks need one well-defined serial pause point
-  unsigned N = Config.SimThreads;
-  if (N == 0) {
-    N = std::thread::hardware_concurrency();
-    if (N == 0)
-      N = 1;
-  }
-  return std::max(1u, std::min(N, Config.NumEus));
-}
 
 std::vector<uint32_t> GmaDevice::residentShreds() const {
   std::vector<uint32_t> Out;
@@ -636,7 +609,7 @@ GmaDevice::accessMemoryAt(TimeNs Now, Context &Ctx, mem::VirtAddr Va,
 // Instruction execution (advance phase: EU-local effects only)
 //===----------------------------------------------------------------------===//
 
-void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
+bool GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
   const std::vector<Instruction> &Code = Ctx.Kern->Code;
 
   // Buffers \p Op with the common scheduling fields filled in.
@@ -656,20 +629,20 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
     Op.EndNs = std::max(E.Time, Ctx.StallUntil);
     Defer(std::move(Op), Ctx.Pc);
     Ctx.St = Context::State::Blocked;
-    return;
+    return true;
   }
 
   const Instruction &I = Code[Ctx.Pc];
   const isa::DecodedInsn &DI = Ctx.Dec->Insns[Ctx.Pc];
-  ++E.ShardInstructions;
-  E.ShardIssueCycles += DI.IssueCycles;
+  ++Stats.Instructions;
+  Stats.IssueCycles += DI.IssueCycles; // multiples of 0.5: sums are exact
   E.Time += DI.IssueCycles * Config.cycleNs();
-  E.ShardFinishNs = std::max(E.ShardFinishNs, E.Time);
+  AdvanceFinishNs = std::max(AdvanceFinishNs, E.Time);
 
   uint32_t NextPc = Ctx.Pc + 1;
 
   // Defers a CEH exception for the proxy; the context parks until the
-  // barrier, where the (serial) proxy call decides skip-or-terminate.
+  // resolve phase, where the proxy call decides skip-or-terminate.
   auto RaiseException = [&](ExceptionKind Kind) {
     PendingOp Op;
     Op.K = PendingOp::Kind::Exception;
@@ -677,6 +650,7 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
     Op.Exc = Kind;
     Defer(std::move(Op), NextPc);
     Ctx.St = Context::State::Blocked;
+    return true;
   };
 
   // Per-lane predication test.
@@ -732,7 +706,7 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
     Op.EndNs = std::max(E.Time, Ctx.StallUntil);
     Defer(std::move(Op), NextPc);
     Ctx.St = Context::State::Blocked;
-    return;
+    return true;
   }
 
   case Opcode::Jmp:
@@ -751,7 +725,7 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
     break;
 
   case Opcode::Spawn: {
-    // Non-blocking: the child lands in the work queue at the barrier, in
+    // Non-blocking: the child lands in the work queue at the resolve, in
     // issue-time order with every other spawn of the round.
     PendingOp Op;
     Op.K = PendingOp::Kind::Spawn;
@@ -763,7 +737,7 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
   }
 
   case Opcode::Xmit: {
-    // Non-blocking: delivery happens at the barrier. A target blocked in
+    // Non-blocking: delivery happens at the resolve. A target blocked in
     // `wait` observes it there; a running target sees the register once
     // it next synchronizes (programs pair xmit with wait, as the paper's
     // inter-shred protocol does).
@@ -779,7 +753,7 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
   case Opcode::Wait: {
     uint8_t Reg = I.Dst.Reg0;
     if (Ctx.RegReady[Reg]) {
-      // Fast path: the value arrived at an earlier barrier (or at
+      // Fast path: the value arrived at an earlier resolve (or at
       // dispatch); RegReady is EU-local during the advance phase.
       Ctx.RegReady[Reg] = false;
       break;
@@ -789,7 +763,7 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
     Op.Reg = Reg;
     Defer(std::move(Op), NextPc);
     Ctx.St = Context::State::Blocked;
-    return;
+    return true;
   }
 
   case Opcode::Cmp: {
@@ -901,7 +875,7 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
     Op.Instr = I;
     Defer(std::move(Op), NextPc);
     Ctx.St = Context::State::Blocked;
-    return;
+    return true;
   }
 
   case Opcode::Sample: {
@@ -917,7 +891,7 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
     Op.Instr = I;
     Defer(std::move(Op), NextPc);
     Ctx.St = Context::State::Blocked;
-    return;
+    return true;
   }
 
   default: {
@@ -944,10 +918,11 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
         case Opcode::Avg: R = (A + B) * 0.5f; break;
         case Opcode::Abs: R = std::fabs(A); break;
         default:
-          E.ShardError = formatString(
-              "shred %u: %s is not defined for float operands", Ctx.ShredId,
-              opcodeName(I.Op));
-          return;
+          if (AdvanceError.empty()) // the lowest EU index reports
+            AdvanceError = formatString(
+                "shred %u: %s is not defined for float operands",
+                Ctx.ShredId, opcodeName(I.Op));
+          return false;
         }
         WriteF32Lane(DI.Dst, L, R);
       } else {
@@ -989,6 +964,7 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
   }
 
   Ctx.Pc = NextPc;
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1008,7 +984,7 @@ void GmaDevice::advanceEu(Eu &E, TimeNs Horizon) {
     Context *Ctx = pickReadyContext(E);
     assert(Ctx && "EU advanced to a time with no ready context");
 
-    if (Hook_) { // hooks force the serial path (effectiveSimThreads == 1)
+    if (Hook_) {
       StepAction A = Hook_(Ctx->ShredId, Ctx->KernelId, Ctx->Pc);
       if (A == StepAction::Pause) {
         PauseRequested = true;
@@ -1016,8 +992,7 @@ void GmaDevice::advanceEu(Eu &E, TimeNs Horizon) {
       }
     }
 
-    issueInstruction(E, *Ctx);
-    if (!E.ShardError.empty())
+    if (!issueInstruction(E, *Ctx))
       return;
   }
 }
@@ -1225,7 +1200,7 @@ Error GmaDevice::resolveSample(Eu &E, Context &Ctx, const PendingOp &Op) {
 }
 
 //===----------------------------------------------------------------------===//
-// FaultLab degradation ladder (serial phases only)
+// FaultLab degradation ladder (refill and resolve phases only)
 //===----------------------------------------------------------------------===//
 
 Error GmaDevice::hostRedispatch(ShredDescriptor Desc, uint32_t ShredId,
@@ -1300,7 +1275,7 @@ Error GmaDevice::resolveOne(const PendingOp &Op) {
   // EuHardFail probe: a blocking shared-resource interaction is where a
   // wedged EU manifests. Keyed by the cluster-wide EU index (device ×
   // NumEus + EU) so a given EU fails at the same (deterministic)
-  // occurrence for every SimThreads value, and distinct devices in a
+  // occurrence of the canonical schedule, and distinct devices in a
   // cluster draw from distinct fault sites. Device 0 keys are unchanged
   // from the single-device scheme.
   if (injectionArmed() &&
@@ -1364,7 +1339,7 @@ Error GmaDevice::resolveOne(const PendingOp &Op) {
     unsigned Deliveries = 1;
     if (injectionArmed()) {
       // MISP signal faults, keyed by (target shred, register) so the same
-      // logical signal is dropped/duplicated at every SimThreads value.
+      // logical signal is dropped/duplicated on every replay.
       uint64_t SigKey = (static_cast<uint64_t>(Op.Target) << 8) | Op.Reg;
       if (Injector->shouldInject(fault::FaultKind::MailboxDrop, SigKey)) {
         ++Stats.FaultsInjected;
@@ -1463,7 +1438,7 @@ Error GmaDevice::resolvePending() {
 
   // The arbitration rule: earlier issue first; EU index, then per-EU
   // issue sequence break ties. This depends only on the simulated
-  // schedule, which is identical for every worker count.
+  // schedule, never on the order in which EUs were advanced.
   std::sort(Ops.begin(), Ops.end(),
             [](const PendingOp &A, const PendingOp &B) {
               if (A.IssueNs != B.IssueNs)
@@ -1505,17 +1480,6 @@ void GmaDevice::preemptAll(TimeNs Now) {
   Stats.FinishNs = std::max(Stats.FinishNs, Now);
 }
 
-void GmaDevice::mergeStatShards() {
-  for (auto &E : Eus) {
-    Stats.Instructions += E->ShardInstructions;
-    Stats.IssueCycles += E->ShardIssueCycles;
-    Stats.FinishNs = std::max(Stats.FinishNs, E->ShardFinishNs);
-    E->ShardInstructions = 0;
-    E->ShardIssueCycles = 0;
-    E->ShardFinishNs = 0;
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Run loop
 //===----------------------------------------------------------------------===//
@@ -1531,29 +1495,27 @@ Expected<RunExit> GmaDevice::run(TimeNs StartNs) {
 
 Expected<RunExit> GmaDevice::resume() {
   PausedFlag = false;
+  Expected<RunExit> Exit = runRounds();
+  // Advance-phase issue times fold into the finish clock once per exit,
+  // after every read of it inside the rounds (the host drain's clock).
+  Stats.FinishNs = std::max(Stats.FinishNs, AdvanceFinishNs);
+  AdvanceFinishNs = 0;
+  return Exit;
+}
 
-  unsigned Threads = effectiveSimThreads();
-  if (Threads <= 1)
-    Pool.reset();
-  else if (!Pool || Pool->workers() != Threads - 1)
-    Pool = std::make_unique<support::ThreadPool>(Threads - 1);
-
+Expected<RunExit> GmaDevice::runRounds() {
   // Normally a no-op: every round resolves its own ops, and a pause
   // resolves before returning. Drains stale ops after an error exit.
-  if (Error Err = resolvePending()) {
-    mergeStatShards();
+  if (Error Err = resolvePending())
     return Err;
-  }
 
   while (true) {
-    // Phase 1 (serial): dispatch queued shreds into idle contexts.
+    // Phase 1: dispatch queued shreds into idle contexts.
     for (auto &E : Eus) {
       while (true) {
         auto Refilled = refillContext(*E);
-        if (!Refilled) {
-          mergeStatShards();
+        if (!Refilled)
           return Refilled.takeError();
-        }
         if (!*Refilled)
           break;
       }
@@ -1576,18 +1538,17 @@ Expected<RunExit> GmaDevice::resume() {
     }
 
     // ExoServe watchdog: the deadline budget is enforced here, at the
-    // serial epoch boundary where no buffered op is in flight. The next
-    // event time is part of the canonical schedule, so the decision is
-    // identical for every SimThreads value. NextT == infinity (every
-    // resident shred blocked in `wait`) also trips the deadline: an
-    // overrunning deadlocked job becomes a bounded preemption instead of
-    // an error. The all-EUs-failed host-drain fallback below is exempt
-    // (anyOnlineEu() false): its functional completion is the last rung
-    // of the degradation ladder, not device time.
+    // epoch boundary where no buffered op is in flight. The next event
+    // time is part of the canonical schedule, so the decision is
+    // deterministic. NextT == infinity (every resident shred blocked in
+    // `wait`) also trips the deadline: an overrunning deadlocked job
+    // becomes a bounded preemption instead of an error. The
+    // all-EUs-failed host-drain fallback below is exempt (anyOnlineEu()
+    // false): its functional completion is the last rung of the
+    // degradation ladder, not device time.
     if (DeadlineNs > 0 && NextT > DeadlineNs &&
         (AnyResident || (!Queue.empty() && anyOnlineEu()))) {
       preemptAll(DeadlineNs);
-      mergeStatShards();
       return RunExit::DeadlinePreempted;
     }
 
@@ -1601,7 +1562,6 @@ Expected<RunExit> GmaDevice::resume() {
         for (Context &C : E->Contexts)
           if (C.St == Context::State::Waiting &&
               NextT - C.WaitSinceNs > Config.WaitTimeoutNs) {
-            mergeStatShards();
             return Error::make(formatString(
                 "shred %u: `wait vr%u` timed out after %.0f ns blocked "
                 "(signal lost or sender failed)",
@@ -1619,13 +1579,10 @@ Expected<RunExit> GmaDevice::resume() {
           Queue.pop_front();
           uint32_t Id =
               Desc.FixedShredId ? Desc.FixedShredId : NextShredId++;
-          if (Error Err = hostRedispatch(std::move(Desc), Id, Stats.FinishNs)) {
-            mergeStatShards();
+          if (Error Err = hostRedispatch(std::move(Desc), Id, Stats.FinishNs))
             return Err;
-          }
         }
       }
-      mergeStatShards();
       if (!AnyResident && Queue.empty())
         return RunExit::QueueDrained;
       if (AnyWaiting) {
@@ -1650,46 +1607,25 @@ Expected<RunExit> GmaDevice::resume() {
       exochiUnreachable("GMA run loop stuck with no runnable context");
     }
 
-    // Phase 2 (parallel): advance every EU to the horizon. Workers touch
-    // only their own EUs plus read-only kernel code and configuration.
+    // Phase 2: advance every EU, in index order, to the horizon.
     TimeNs Horizon = NextT + Config.SimHorizonNs;
     PauseRequested = false;
-    if (Threads <= 1) {
-      for (auto &E : Eus) {
-        advanceEu(*E, Horizon);
-        if (PauseRequested)
-          break;
-      }
-    } else {
-      support::ThreadPool &P = *Pool;
-      unsigned NumEus = static_cast<unsigned>(Eus.size());
-      P.run([this, Horizon, Threads, NumEus](unsigned W) {
-        for (unsigned Idx = W; Idx < NumEus; Idx += Threads)
-          advanceEu(*Eus[Idx], Horizon);
-      });
-    }
-
-    // Advance-phase errors surface in EU-index order.
     for (auto &E : Eus) {
-      if (!E->ShardError.empty()) {
-        std::string Msg = std::move(E->ShardError);
-        E->ShardError.clear();
-        mergeStatShards();
-        return Error::make(std::move(Msg));
-      }
+      advanceEu(*E, Horizon);
+      if (PauseRequested)
+        break;
     }
+    if (!AdvanceError.empty())
+      return Error::make(std::exchange(AdvanceError, std::string()));
 
-    // Phase 3 (serial): resolve all buffered shared-resource ops.
-    if (Error Err = resolvePending()) {
-      mergeStatShards();
+    // Phase 3: resolve all buffered shared-resource ops.
+    if (Error Err = resolvePending())
       return Err;
-    }
 
     if (PauseRequested) {
       // The resolve above already applied everything issued before the
       // pause, so debuggers see a machine with no in-flight operations.
       PausedFlag = true;
-      mergeStatShards();
       return RunExit::Paused;
     }
   }

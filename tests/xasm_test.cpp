@@ -203,6 +203,11 @@ struct DiagCase {
   const char *ExpectSubstr;
 };
 
+// Print a case by name: the default printer dumps the struct's bytes, which
+// are string-literal addresses and so differ on every load of the binary,
+// leaving the discovered test names unstable across builds.
+void PrintTo(const DiagCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class AssemblerDiagTest : public ::testing::TestWithParam<DiagCase> {};
 
 TEST_P(AssemblerDiagTest, ReportsError) {
